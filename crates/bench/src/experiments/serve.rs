@@ -93,11 +93,10 @@ pub fn serve(opts: &Opts) {
     .expect("serve: bind failed");
     install_stop_handlers();
     println!(
-        "  listening on {} ({} lanes, max batch {}, hold {:?}) — ctrl-c to stop",
+        "  listening on {} ({} lanes, max batch {}) — ctrl-c to stop",
         server.local_addr(),
         cfg.lanes,
-        cfg.max_batch,
-        cfg.max_hold
+        cfg.max_batch
     );
     if opts.trace > 0 {
         println!(
@@ -156,9 +155,9 @@ pub struct ServeBenchRow {
     pub retries: u64,
     pub wall_secs: f64,
     pub ops_per_sec: f64,
-    /// Client-observed wall-clock put latency (includes the group-commit
-    /// hold window — the latency cost of batching), from the kvclient
-    /// per-op histograms.
+    /// Client-observed wall-clock put latency (includes the wait behind
+    /// the lane's in-flight batch — the latency cost of batching), from
+    /// the kvclient per-op histograms.
     pub put_p50_us: f64,
     pub put_p99_us: f64,
     /// Server-side put latency from the engine's histograms, in
@@ -313,7 +312,6 @@ pub fn bench(opts: &Opts) {
         ServerConfig {
             lanes,
             max_batch: 64,
-            max_hold: Duration::from_micros(200),
             ..ServerConfig::default()
         },
         connections,
@@ -326,7 +324,6 @@ pub fn bench(opts: &Opts) {
         ServerConfig {
             lanes,
             max_batch: 64,
-            max_hold: Duration::from_micros(200),
             trace: TraceConfig::sampled(64),
             ..ServerConfig::default()
         },

@@ -173,7 +173,6 @@ fn thousand_connections_acked_writes_survive_crash() {
             lanes: 4,
             io: IoModel::Reactor { workers: 4 },
             max_batch: 64,
-            max_hold: Duration::from_micros(500),
             ..ServerConfig::default()
         },
     );
@@ -347,7 +346,6 @@ fn backpressure_retry_is_lossless_under_reactor() {
             lanes: 1,
             queue_cap: 8,
             max_batch: 4,
-            max_hold: Duration::from_micros(100),
             ..ServerConfig::default()
         },
     );
@@ -538,7 +536,6 @@ fn graceful_shutdown_drains_inflight_acks() {
         ServerConfig {
             lanes: 2,
             max_batch: 32,
-            max_hold: Duration::from_millis(2),
             ..ServerConfig::default()
         },
     );

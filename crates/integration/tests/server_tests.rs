@@ -9,7 +9,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use chameleon_obs::{ObsConfig, ServerObs};
 use chameleondb::{BatchOp, ChameleonConfig, ChameleonDb};
@@ -111,7 +111,6 @@ fn every_acked_durable_write_survives_crash() {
         ServerConfig {
             lanes: 2,
             max_batch: 16,
-            max_hold: Duration::from_micros(500),
             ..ServerConfig::default()
         },
     );
@@ -177,55 +176,197 @@ fn every_acked_durable_write_survives_crash() {
     }
 }
 
+/// A 16-byte value naming its key and version, so a read-back value
+/// identifies the write that produced it.
+fn versioned(key: u64, version: u64) -> Vec<u8> {
+    [key.to_le_bytes(), version.to_le_bytes()].concat()
+}
+
+/// Pipelined clients overwrite a small hot key set with increasing
+/// versions across 4 lanes while the device crashes mid-stream. After
+/// recovery every key must read a version no older than its newest
+/// acked one: an ack promises that version, not just the key. The crash
+/// lands while fences are in flight, so it can tear an unacked newer
+/// entry; recovery must drop that entry, never replay it.
+#[test]
+fn acked_overwrites_never_roll_back_after_crash() {
+    const CLIENTS: usize = 4;
+    const LANES: usize = 4;
+    const KEYS_PER_LANE: usize = 2;
+    const WINDOW: usize = 16;
+    let dev = PmemDevice::optane(256 << 20);
+    let cfg = test_store_config();
+    let store = Arc::new(ChameleonDb::create(Arc::clone(&dev), cfg.clone()).unwrap());
+    // Each client owns KEYS_PER_LANE keys on every lane, so its pipeline
+    // spans all committers and no two clients race on one key.
+    let mut per_lane: Vec<Vec<u64>> = vec![Vec::new(); LANES];
+    for key in 1u64.. {
+        let lane = &mut per_lane[store.shard_of_key(key) % LANES];
+        if lane.len() < CLIENTS * KEYS_PER_LANE {
+            lane.push(key);
+        }
+        if per_lane.iter().all(|l| l.len() == CLIENTS * KEYS_PER_LANE) {
+            break;
+        }
+    }
+    let (server, addr) = start_server(
+        &dev,
+        &store,
+        ServerConfig {
+            lanes: LANES,
+            ..ServerConfig::default()
+        },
+    );
+
+    // Newest acked version per key.
+    let acked: Arc<Mutex<HashMap<u64, u64>>> = Arc::new(Mutex::new(HashMap::new()));
+    let stop = Arc::new(AtomicBool::new(false));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|cid| {
+            let keys: Vec<u64> = per_lane
+                .iter()
+                .flat_map(|l| l[cid * KEYS_PER_LANE..(cid + 1) * KEYS_PER_LANE].to_vec())
+                .collect();
+            let acked = Arc::clone(&acked);
+            let stop = Arc::clone(&stop);
+            thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                let mut inflight: HashMap<u64, (u64, u64)> = HashMap::new();
+                let mut version = 0u64;
+                'run: while !stop.load(Ordering::SeqCst) {
+                    while inflight.len() < WINDOW {
+                        version += 1;
+                        let key = keys[version as usize % keys.len()];
+                        match c.send_put(key, &versioned(key, version), true) {
+                            Ok(id) => inflight.insert(id, (key, version)),
+                            Err(_) => break 'run,
+                        };
+                    }
+                    // Socket torn down by the crash/abort below ends the run.
+                    let Ok(resp) = c.recv_any() else { break };
+                    let Some((key, version)) = inflight.remove(&resp.req_id()) else {
+                        continue;
+                    };
+                    // RETRY is not resent: a newer version of the key may
+                    // already be queued behind it.
+                    if let kvclient::Response::Ok { .. } = resp {
+                        let mut acked = acked.lock().unwrap();
+                        let newest = acked.entry(key).or_insert(0);
+                        *newest = (*newest).max(version);
+                    }
+                }
+            })
+        })
+        .collect();
+
+    // Crash while holding the ack map: every version recorded is acked,
+    // hence fenced, hence must survive (or be overwritten by a newer one).
+    thread::sleep(Duration::from_millis(300));
+    let survivors: HashMap<u64, u64> = {
+        let guard = acked.lock().unwrap();
+        dev.crash();
+        guard.clone()
+    };
+    stop.store(true, Ordering::SeqCst);
+    server.abort();
+    for h in clients {
+        h.join().unwrap();
+    }
+    assert_eq!(
+        survivors.len(),
+        CLIENTS * LANES * KEYS_PER_LANE,
+        "want every hot key acked before the crash"
+    );
+
+    drop(store);
+    let mut ctx = ThreadCtx::with_default_cost();
+    let recovered = ChameleonDb::recover(Arc::clone(&dev), cfg, &mut ctx).unwrap();
+    let mut out = Vec::new();
+    for (&key, &newest) in &survivors {
+        assert!(
+            recovered.get(&mut ctx, key, &mut out).unwrap(),
+            "acked key {key} lost by crash"
+        );
+        assert_eq!(out.len(), 16, "key {key} recovered torn");
+        assert_eq!(u64::from_le_bytes(out[..8].try_into().unwrap()), key);
+        let got = u64::from_le_bytes(out[8..].try_into().unwrap());
+        assert!(
+            got >= newest,
+            "key {key} rolled back to version {got}, older than acked {newest}"
+        );
+    }
+}
+
 /// Satellite regression: a batch's acks are withheld until its fence.
-/// Wire-level half: with a held-open batch, acks must not arrive before
-/// the batch fills (or the hold expires).
+/// Wire-level half: the device crashes as the first batch's fence
+/// completes, so that batch is durable but its committer unwinds before
+/// the ack path. No pipelined durable put may be acked, and the fenced
+/// batch must survive recovery.
 #[test]
 fn durable_acks_wait_for_the_batch_fence() {
     let dev = PmemDevice::optane(256 << 20);
-    let store = Arc::new(ChameleonDb::create(Arc::clone(&dev), test_store_config()).unwrap());
+    let cfg = test_store_config();
+    let store = Arc::new(ChameleonDb::create(Arc::clone(&dev), cfg.clone()).unwrap());
     let (server, addr) = start_server(
         &dev,
         &store,
         ServerConfig {
             lanes: 1,
             max_batch: 4,
-            max_hold: Duration::from_secs(5),
             ..ServerConfig::default()
         },
     );
 
-    let fences_before = dev.fence_count();
     let mut c = Client::connect(addr).unwrap();
-    let ids: Vec<u64> = (0..3u64)
-        .map(|k| c.send_put(k, b"held", true).unwrap())
-        .collect();
+    let fences_before = dev.fence_count();
+    dev.arm_crash_at_fence(fences_before + 1);
+    for k in 0..8u64 {
+        c.send_put(k, &value_for(k), true).unwrap();
+    }
     c.flush().unwrap();
-    // The batch is 3/4 full and the hold is 5s: no ack may arrive yet.
-    c.set_read_timeout(Some(Duration::from_millis(250)))
+    // Wait for the armed fence: the first batch is then on media and its
+    // committer has unwound.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while dev.fence_count() == fences_before {
+        assert!(
+            Instant::now() < deadline,
+            "the first batch never reached its fence"
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
+    // Every response that will ever arrive is now in flight; none may be
+    // an ack (puts queued behind the dead committer may answer ERR).
+    c.set_read_timeout(Some(Duration::from_millis(300)))
         .unwrap();
-    match c.recv_for(ids[0]) {
-        Err(e) => assert!(
-            matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
-            "expected timeout, got {e:?}"
-        ),
-        Ok(r) => panic!("ack released before the batch fence: {r:?}"),
+    loop {
+        match c.recv_any() {
+            Ok(kvclient::Response::Ok { req_id }) => {
+                panic!("durable put {req_id} acked although its batch fence crashed")
+            }
+            Ok(_) => {}
+            Err(e) => {
+                assert!(
+                    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                    "expected timeout, got {e:?}"
+                );
+                break;
+            }
+        }
     }
-    // The fourth put fills the batch; every ack is released by one fence.
-    let last = c.send_put(3, b"held", true).unwrap();
-    c.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-    for id in ids.into_iter().chain([last]) {
-        assert!(matches!(
-            c.recv_for(id).unwrap(),
-            kvclient::Response::Ok { .. }
-        ));
-    }
-    let commit_fences = dev.fence_count() - fences_before;
-    assert_eq!(
-        commit_fences, 1,
-        "a four-op batch must commit under exactly one fence"
+    server.abort();
+    dev.crash();
+    drop(store);
+
+    // The crash fired once the fence had completed: key 0 (the head of
+    // the first batch) is durable although it was never acked.
+    let mut ctx = ThreadCtx::with_default_cost();
+    let recovered = ChameleonDb::recover(Arc::clone(&dev), cfg, &mut ctx).unwrap();
+    let mut out = Vec::new();
+    assert!(
+        recovered.get(&mut ctx, 0, &mut out).unwrap(),
+        "the fenced batch was lost"
     );
-    server.shutdown().unwrap();
+    assert_eq!(out, value_for(0));
 }
 
 /// In-process half of the regression: a crash injected at the commit
@@ -343,7 +484,6 @@ fn full_lane_backpressure_yields_retry_not_loss() {
             lanes: 1,
             queue_cap: 1,
             max_batch: 1,
-            max_hold: Duration::ZERO,
             ..ServerConfig::default()
         },
     );

@@ -15,7 +15,10 @@
 //! Threads append through private [`LogWriter`]s, each claiming extents
 //! (default 1MB) so appends never contend. Within an extent, a sequence
 //! number of zero marks the end of valid data (extents are zeroed before
-//! use), which is what recovery scans rely on.
+//! use), which is what recovery scans rely on. Each header also carries a
+//! 32-bit checksum over the entry, so a crash that persisted only some of
+//! an entry's cache lines leaves a *torn* entry the scan stops at instead
+//! of replaying (it was never fenced, so nothing after it was either).
 //!
 //! # Extent lifecycle
 //!
@@ -53,7 +56,8 @@ use kvapi::{hash64, KvError, LogSpaceStats, Result};
 use parking_lot::Mutex;
 use pmem_sim::{PRegion, PmemDevice, ThreadCtx};
 
-/// Fixed entry header: `{seq: u64, key: u64, flags_and_vlen: u64}`.
+/// Fixed entry header: `{seq: u64, key: u64, flags_and_vlen: u64}`; the
+/// top half of the last word is the entry checksum.
 pub const ENTRY_HEADER: usize = 24;
 
 /// Default extent size. Entries never cross an extent boundary.
@@ -62,10 +66,12 @@ pub const EXTENT: u64 = 1 << 20;
 /// Bytes of one persistent extent-state record.
 const META_RECORD: u64 = 32;
 
-/// Tombstone flag in the top byte of the `flags_and_vlen` word.
-const FLAG_TOMBSTONE: u64 = 1 << 56;
-/// Mask of the value-length bits.
-const VLEN_MASK: u64 = (1 << 48) - 1;
+/// Tombstone flag of the `flags_and_vlen` word.
+const FLAG_TOMBSTONE: u64 = 1 << 31;
+/// Mask of the value-length bits (bits 24..31 are reserved, zero).
+const VLEN_MASK: u64 = (1 << 24) - 1;
+/// The entry checksum occupies bits 32..64 of the `flags_and_vlen` word.
+const CSUM_SHIFT: u32 = 32;
 
 /// Bits of `loc` used for the absolute entry offset.
 const LOC_OFF_BITS: u32 = 46;
@@ -173,6 +179,9 @@ impl LogConfig {
         if (ENTRY_HEADER + self.max_value) as u64 > ext {
             return Err(KvError::Corrupt("max_value does not fit one extent"));
         }
+        if self.max_value as u64 > VLEN_MASK {
+            return Err(KvError::Corrupt("max_value exceeds the entry length field"));
+        }
         Ok(())
     }
 
@@ -257,6 +266,9 @@ pub struct StorageLog {
     /// scanned vs skipped via their sealed max_seq summary).
     scanned_extents: AtomicU64,
     skipped_extents: AtomicU64,
+    /// Torn entries that ended an extent's scan in the last reopen (at
+    /// most one per extent).
+    torn_entries: AtomicU64,
 }
 
 impl std::fmt::Debug for StorageLog {
@@ -284,6 +296,7 @@ impl StorageLog {
             in_use: AtomicU64::new(0),
             scanned_extents: AtomicU64::new(0),
             skipped_extents: AtomicU64::new(0),
+            torn_entries: AtomicU64::new(0),
         }
     }
 
@@ -383,12 +396,18 @@ impl StorageLog {
                     highest_used = Some(i);
                 }
                 ExtentState::Active | ExtentState::Sealed => {
-                    let (used, ext_max) =
-                        log.scan_extent_content(ctx, i, &mut first_access, &mut on_entry)?;
+                    let (used, ext_max, torn) =
+                        log.scan_extent_content(ctx, i, &mut first_access, &mut on_entry);
                     log.scanned_extents.fetch_add(1, Ordering::Relaxed);
+                    if torn {
+                        log.torn_entries.fetch_add(1, Ordering::Relaxed);
+                    }
                     if used == 0 {
-                        // Claimed but no batch ever fenced: the content is
-                        // still all-zero, so the extent is reusable as-is.
+                        // Claimed but no batch ever fenced whole: reusable
+                        // once any torn bytes are zeroed again.
+                        if torn {
+                            log.zero_extent(ctx, i);
+                        }
                         log.write_meta(ctx, i, ExtentState::Free, 0, 0);
                         pending_meta = true;
                         highest_used = Some(i);
@@ -492,6 +511,13 @@ impl StorageLog {
         )
     }
 
+    /// Torn entries (some of their lines persisted, some lost in a crash)
+    /// that ended an extent's scan during the last reopen. Everything at
+    /// and after one was never fenced, so it is dropped, not replayed.
+    pub fn recovery_torn_entries(&self) -> u64 {
+        self.torn_entries.load(Ordering::Relaxed)
+    }
+
     /// The lifecycle state of data extent `idx`.
     pub fn extent_state(&self, idx: u64) -> ExtentState {
         self.slots[idx as usize].state()
@@ -549,6 +575,7 @@ impl StorageLog {
             batch_start: 0,
             ext_idx: u64::MAX,
             ext_max_seq: 0,
+            claim_unfenced: false,
         }
     }
 
@@ -625,35 +652,13 @@ impl StorageLog {
         let abs = self.region.off + (idx + 1) * self.cfg.extent_bytes;
         let mut probe = [0u8; ENTRY_HEADER];
         self.dev.read(ctx, abs, &mut probe);
-        let (first_seq, _, _, _) = Self::decode_header(&probe)?;
-        if first_seq == 0 {
+        if probe[..8] == [0u8; 8] {
             return Ok(Vec::new());
         }
         let mut ebuf = vec![0u8; ext];
         self.dev.read_seq(ctx, abs, &mut ebuf);
         let mut out = Vec::new();
-        let mut pos = 0usize;
-        while pos + ENTRY_HEADER <= ext {
-            let (seq, key, vlen, tombstone) = Self::decode_header(&ebuf[pos..pos + ENTRY_HEADER])?;
-            if seq == 0 {
-                break;
-            }
-            if pos + ENTRY_HEADER + vlen > ext {
-                return Err(KvError::Corrupt("log entry crosses extent boundary"));
-            }
-            let meta = EntryMeta {
-                seq,
-                key,
-                vlen,
-                tombstone,
-                off: abs + pos as u64,
-            };
-            out.push((
-                meta,
-                ebuf[pos + ENTRY_HEADER..pos + ENTRY_HEADER + vlen].to_vec(),
-            ));
-            pos += ENTRY_HEADER + vlen;
-        }
+        self.walk_entries(&ebuf, abs, |meta, value| out.push((meta, value.to_vec())));
         Ok(out)
     }
 
@@ -766,21 +771,22 @@ impl StorageLog {
             match self.slots[i as usize].state() {
                 ExtentState::Free | ExtentState::Gced => continue,
                 ExtentState::Active | ExtentState::Sealed => {
-                    self.scan_extent_content(ctx, i, &mut first_access, &mut f)?;
+                    self.scan_extent_content(ctx, i, &mut first_access, &mut f);
                 }
             }
         }
         Ok(())
     }
 
-    /// Scans the content of one extent, returning `(used_bytes, max_seq)`.
+    /// Scans the content of one extent, returning `(used_bytes, max_seq,
+    /// torn)`.
     fn scan_extent_content(
         &self,
         ctx: &mut ThreadCtx,
         idx: u64,
         first_access: &mut bool,
         f: &mut impl FnMut(EntryMeta),
-    ) -> Result<(u64, u64)> {
+    ) -> (u64, u64, bool) {
         let ext = self.cfg.extent_bytes as usize;
         let abs = self.region.off + (idx + 1) * self.cfg.extent_bytes;
         // One-block probe: a zero sequence word in the first header means
@@ -792,37 +798,61 @@ impl StorageLog {
         } else {
             self.dev.read_seq(ctx, abs, &mut probe);
         }
-        let (first_seq, _, _, _) = Self::decode_header(&probe)?;
-        if first_seq == 0 {
-            return Ok((0, 0));
+        if probe[..8] == [0u8; 8] {
+            return (0, 0, false);
         }
         let mut ebuf = vec![0u8; ext];
         self.dev.read_seq(ctx, abs, &mut ebuf);
-        let mut pos = 0usize;
         let mut max_seq = 0u64;
-        while pos + ENTRY_HEADER <= ext {
-            let Ok((seq, key, vlen, tombstone)) =
-                Self::decode_header(&ebuf[pos..pos + ENTRY_HEADER])
-            else {
-                break;
+        let (used, torn) = self.walk_entries(&ebuf, abs, |meta, _| {
+            max_seq = max_seq.max(meta.seq);
+            f(meta);
+        });
+        (used as u64, max_seq, torn)
+    }
+
+    /// Walks the entries of one extent image `ebuf` (whose first byte is
+    /// at absolute offset `abs`), handing each whole entry and its value
+    /// to `f`. Stops at the end-of-data marker (a zero sequence word) or at
+    /// the first torn entry — one whose header or checksum shows that a
+    /// crash persisted only some of its lines. A writer's entries are
+    /// fenced in order, so nothing after a torn entry was ever durable.
+    /// Returns the bytes walked and whether a torn entry ended the walk.
+    fn walk_entries(
+        &self,
+        ebuf: &[u8],
+        abs: u64,
+        mut f: impl FnMut(EntryMeta, &[u8]),
+    ) -> (usize, bool) {
+        let mut pos = 0usize;
+        while pos + ENTRY_HEADER <= ebuf.len() {
+            let header = &ebuf[pos..pos + ENTRY_HEADER];
+            let Ok((seq, key, vlen, tombstone)) = Self::decode_header(header) else {
+                return (pos, true);
             };
             if seq == 0 {
-                break;
+                return (pos, false);
             }
-            if pos + ENTRY_HEADER + vlen > ext {
-                return Err(KvError::Corrupt("log entry crosses extent boundary"));
+            let end = pos + ENTRY_HEADER + vlen;
+            if vlen > self.cfg.max_value || end > ebuf.len() {
+                return (pos, true);
             }
-            f(EntryMeta {
+            let value = &ebuf[pos + ENTRY_HEADER..end];
+            let word = u64::from_le_bytes(header[16..24].try_into().expect("header slice"));
+            if word >> CSUM_SHIFT != entry_checksum(seq, key, word, value) {
+                return (pos, true);
+            }
+            let meta = EntryMeta {
                 seq,
                 key,
                 vlen,
                 tombstone,
                 off: abs + pos as u64,
-            });
-            max_seq = max_seq.max(seq);
-            pos += ENTRY_HEADER + vlen;
+            };
+            f(meta, value);
+            pos = end;
         }
-        Ok((pos as u64, max_seq))
+        (pos, false)
     }
 
     fn decode_header(buf: &[u8]) -> Result<(u64, u64, usize, bool)> {
@@ -831,7 +861,7 @@ impl StorageLog {
         let word = u64::from_le_bytes(buf[16..24].try_into().expect("header slice"));
         let vlen = (word & VLEN_MASK) as usize;
         let tombstone = word & FLAG_TOMBSTONE != 0;
-        if word & !(VLEN_MASK | FLAG_TOMBSTONE) != 0 {
+        if word & !(VLEN_MASK | FLAG_TOMBSTONE | (u64::MAX << CSUM_SHIFT)) != 0 {
             return Err(KvError::Corrupt("log entry flags"));
         }
         Ok((seq, key, vlen, tombstone))
@@ -927,6 +957,8 @@ pub struct LogWriter {
     ext_idx: u64,
     /// Highest sequence number appended into the current extent.
     ext_max_seq: u64,
+    /// The current extent's claim record has not been fenced yet.
+    claim_unfenced: bool,
 }
 
 impl LogWriter {
@@ -985,6 +1017,7 @@ impl LogWriter {
             let (idx, start, end) = self.log.claim_extent(ctx)?;
             self.ext_idx = idx;
             self.ext_max_seq = 0;
+            self.claim_unfenced = true;
             self.pos = start;
             self.end = end;
             self.batch_start = start;
@@ -997,6 +1030,7 @@ impl LogWriter {
         if tombstone {
             word |= FLAG_TOMBSTONE;
         }
+        word |= entry_checksum(seq, key, word, value) << CSUM_SHIFT;
         let abs = self.log.region.off + self.pos;
         let mut header = [0u8; ENTRY_HEADER];
         header[0..8].copy_from_slice(&seq.to_le_bytes());
@@ -1040,14 +1074,19 @@ impl LogWriter {
         // flush queue. A sync issued from another thread (a background
         // flush's WAL fence) re-queues the data range above but would
         // leave the claim record volatile: after a crash the extent reads
-        // as Free and its durable content is unreachable. Flushing the
-        // record here makes every data fence carry it, whoever fences.
-        self.log.dev.flush(
-            ctx,
-            self.log.region.off + self.ext_idx * META_RECORD,
-            META_RECORD as usize,
-        );
+        // as Free and its durable content is unreachable. So the first
+        // data fence in an extent carries the record, whoever fences;
+        // after it the record is durable and later fences skip it rather
+        // than pay a whole media block to rewrite it.
+        if self.claim_unfenced {
+            self.log.dev.flush(
+                ctx,
+                self.log.region.off + self.ext_idx * META_RECORD,
+                META_RECORD as usize,
+            );
+        }
         self.log.dev.fence(ctx);
+        self.claim_unfenced = false;
         self.batch_start = self.pos;
     }
 
@@ -1055,6 +1094,32 @@ impl LogWriter {
     pub fn unfenced_bytes(&self) -> u64 {
         self.pos - self.batch_start
     }
+}
+
+/// The 32-bit checksum of an entry: its sequence number, key, length and
+/// flags (the low half of `word`), and value bytes. Each 8-byte word is
+/// multiplied independently and only a rotate-xor chains them, so the
+/// recovery scan that verifies every entry stays cheap.
+fn entry_checksum(seq: u64, key: u64, word: u64, value: &[u8]) -> u64 {
+    const K0: u64 = 0x9E37_79B9_7F4A_7C15;
+    const K1: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const K2: u64 = 0x1656_67B1_9E37_79F9;
+    let low = word & !(u64::MAX << CSUM_SHIFT);
+    let mut acc = seq.wrapping_mul(K0)
+        ^ key.wrapping_mul(K1).rotate_left(21)
+        ^ low.wrapping_mul(K2).rotate_left(42);
+    let mut words = value.chunks_exact(8);
+    for w in &mut words {
+        let w = u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+        acc = acc.rotate_left(23) ^ w.wrapping_mul(K0);
+    }
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut tail = [0u8; 8];
+        tail[..rest.len()].copy_from_slice(rest);
+        acc = acc.rotate_left(23) ^ u64::from_le_bytes(tail).wrapping_mul(K0);
+    }
+    (acc ^ (acc >> 29)).wrapping_mul(K1) >> CSUM_SHIFT
 }
 
 /// Replays the log to rebuild a latest-wins view, the recovery primitive
@@ -1268,6 +1333,91 @@ mod tests {
         assert_eq!(count, 101);
         assert!(saw_new);
         assert!(meta.seq > seq_before);
+    }
+
+    #[test]
+    fn fence_after_the_first_skips_the_durable_claim_record() {
+        let (dev, log, mut ctx) = setup();
+        let mut w = log.writer();
+        w.append(&mut ctx, 1, &[1u8; 16], false).unwrap();
+        // The first fence in the extent carries its claim record.
+        w.flush(&mut ctx).unwrap();
+        let before = dev.stats().snapshot();
+        // One 40B entry, inside the data block the first fence wrote.
+        w.append(&mut ctx, 2, &[2u8; 16], false).unwrap();
+        w.flush(&mut ctx).unwrap();
+        let after = dev.stats().snapshot();
+        assert_eq!(after.fences - before.fences, 1);
+        assert_eq!(
+            after.media_bytes_written - before.media_bytes_written,
+            256,
+            "a one-entry fence must charge exactly one media block"
+        );
+    }
+
+    #[test]
+    fn claim_record_is_durable_when_another_thread_fences() {
+        let (dev, log, _) = setup();
+        let region = log.region();
+        // The writer claims its extent under `a`; the record's lines ride
+        // `a`'s flush queue, which never fences.
+        let mut a = ThreadCtx::with_default_cost();
+        let mut b = ThreadCtx::with_default_cost();
+        let mut w = log.writer();
+        for k in 0..10u64 {
+            w.append(&mut a, k, b"first", false).unwrap();
+        }
+        w.flush(&mut b).unwrap();
+        // The record is durable now; later cross-thread fences skip it.
+        for k in 10..20u64 {
+            w.append(&mut a, k, b"second", false).unwrap();
+        }
+        w.flush(&mut b).unwrap();
+        dev.crash();
+        let log2 = StorageLog::reopen(
+            Arc::clone(&dev),
+            region,
+            LogConfig {
+                capacity: 32 << 20,
+                ..Default::default()
+            },
+            &mut b,
+        )
+        .unwrap();
+        assert_ne!(log2.extent_state(0), ExtentState::Free);
+        let mut keys = Vec::new();
+        log2.scan(&mut b, |m| keys.push(m.key)).unwrap();
+        keys.sort_unstable();
+        assert_eq!(keys, (0..20).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn torn_entry_ends_the_recovery_scan() {
+        let (dev, log, mut ctx) = setup();
+        let region = log.region();
+        let mut w = log.writer();
+        let whole = w.append(&mut ctx, 1, &[1u8; 16], false).unwrap();
+        let torn = w.append(&mut ctx, 2, &[2u8; 16], false).unwrap();
+        w.append(&mut ctx, 3, &[3u8; 16], false).unwrap();
+        w.flush(&mut ctx).unwrap();
+        // The crash kept the second entry's header but not its value tail.
+        dev.persist(&mut ctx, torn.off + ENTRY_HEADER as u64 + 8, &[0u8; 8]);
+        dev.crash();
+        let mut keys = Vec::new();
+        let log2 = StorageLog::reopen_with(
+            Arc::clone(&dev),
+            region,
+            LogConfig {
+                capacity: 32 << 20,
+                ..Default::default()
+            },
+            &mut ctx,
+            |m| keys.push(m.key),
+        )
+        .unwrap();
+        assert_eq!(keys, vec![whole.key]);
+        assert_eq!(log2.recovery_torn_entries(), 1);
+        assert_eq!(log2.extent_state(0), ExtentState::Sealed);
     }
 
     #[test]

@@ -33,11 +33,14 @@
 //!   writability. A client that stops reading its replies overflows the
 //!   bound and is disconnected (`slow_consumer_disconnects`); a client
 //!   that goes silent past `idle_timeout` is swept (`idle_disconnects`).
-//! * One **committer thread per lane** drains batches of at most
-//!   `max_batch` ops held at most `max_hold`, appends the whole batch via
+//! * One **committer thread per lane** runs self-clocking group commit:
+//!   it blocks for one submission, takes whatever else is already queued
+//!   (at most `max_batch` ops), appends the whole batch via
 //!   [`ChameleonDb::apply_batch`] — one persist fence at the tail — and
 //!   only then releases the durable acks, encoded and posted back to the
-//!   owning worker through its wake pipe.
+//!   owning worker through its wake pipe. Writes arriving during that
+//!   fence form the next batch, so batches grow with load and fence
+//!   latency; a lone write never waits for company.
 //! * [`IoModel::Threaded`] keeps PR 4's two-threads-per-connection model
 //!   (now with the same bounded response queues) as the measured
 //!   baseline for the reactor's connection-scaling experiments.
@@ -68,7 +71,7 @@ use std::io::{self, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
+use std::sync::mpsc::{self, Receiver, Sender, TrySendError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -113,11 +116,9 @@ pub struct ServerConfig {
     /// Bounded capacity of each lane's submission queue; a full lane
     /// answers RETRY.
     pub queue_cap: usize,
-    /// Most write ops committed under one fence.
+    /// Most write ops committed under one fence. A committer never waits
+    /// to fill a batch: it commits whatever queued while it was busy.
     pub max_batch: usize,
-    /// Longest a committer holds a non-full batch open waiting for more
-    /// work (wall-clock; the simulated device has no wall time).
-    pub max_hold: Duration,
     /// Cost model for the per-thread simulation contexts.
     pub cost: Arc<CostModel>,
     /// Request-trace sampling (off by default; the wire trace flag still
@@ -163,7 +164,6 @@ impl Default for ServerConfig {
             lanes: 4,
             queue_cap: 1024,
             max_batch: 64,
-            max_hold: Duration::from_micros(200),
             cost: Arc::new(CostModel::default()),
             trace: TraceConfig::off(),
             telemetry_interval: Duration::from_secs(1),
@@ -186,7 +186,6 @@ impl ServerConfig {
     pub fn batch_of_one() -> Self {
         Self {
             max_batch: 1,
-            max_hold: Duration::ZERO,
             ..Self::default()
         }
     }
@@ -1195,35 +1194,18 @@ fn committer_loop(sh: &Arc<Shared>, lane_idx: usize, rx: Receiver<Submission>) {
     let mut ctx = ThreadCtx::for_thread(Arc::clone(&sh.cfg.cost), lane_idx);
     let lane = &sh.lanes[lane_idx];
     loop {
-        // Block until there is work; disconnect after drain means
-        // shutdown.
+        // Self-clocking group commit: block for the first submission,
+        // then take whatever queued up behind it (while the previous
+        // batch was fencing) and commit at once. Batches grow with load
+        // and fence time; nothing ever waits on a timer. Disconnect
+        // after drain means shutdown.
         let first = match rx.recv() {
             Ok(s) => s,
             Err(_) => return,
         };
-        lane.depth.fetch_sub(1, Ordering::Relaxed);
         let mut batch = vec![first];
-        if sh.cfg.max_batch > 1 {
-            let deadline = Instant::now() + sh.cfg.max_hold;
-            while batch.len() < sh.cfg.max_batch {
-                let left = deadline.saturating_duration_since(Instant::now());
-                let next = if left.is_zero() {
-                    match rx.try_recv() {
-                        Ok(s) => s,
-                        Err(_) => break,
-                    }
-                } else {
-                    match rx.recv_timeout(left) {
-                        Ok(s) => s,
-                        Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                            break
-                        }
-                    }
-                };
-                lane.depth.fetch_sub(1, Ordering::Relaxed);
-                batch.push(next);
-            }
-        }
+        batch.extend(rx.try_iter().take(sh.cfg.max_batch.saturating_sub(1)));
+        lane.depth.fetch_sub(batch.len(), Ordering::Relaxed);
         if sh.discard.load(Ordering::SeqCst) {
             // Aborting: drop the batch unapplied and unacked (the reply
             // handles just go away). Keep draining so senders never
@@ -1249,7 +1231,8 @@ fn commit_batch(sh: &Arc<Shared>, ctx: &mut ThreadCtx, lane: &Lane, batch: Vec<S
                 trace,
             } => {
                 // The batch is sealed: `batch_seal` closes the
-                // queue-wait + batch-hold stage for every traced op.
+                // queue-wait stage (behind the previous batch's fence) for
+                // every traced op.
                 if let Some(s) = &trace {
                     s.stamp("batch_seal");
                 }

@@ -390,19 +390,19 @@ impl PmemDevice {
             let line = abs / CACHE_LINE as u64;
             let line_off = (abs % CACHE_LINE as u64) as usize;
             let take = (CACHE_LINE - line_off).min(data.len() - pos);
-            // Pre-fill from the arena *before* taking the pending lock so
-            // a pending lock is never held while acquiring the arena lock
-            // (lock-order discipline; see `fence`). The fill is only used
-            // when the line was not already pending.
-            let fill = {
-                let arena = self.arena.read();
-                let start = (line as usize) * CACHE_LINE;
-                let mut buf = [0u8; CACHE_LINE];
-                buf.copy_from_slice(&arena[start..start + CACHE_LINE]);
-                buf
-            };
+            // A line not yet pending starts from its media contents. The
+            // arena guard is held across the pending-lock acquisition (lock
+            // order: arena first; see `fence`), so no fence can retire the
+            // line in between and leave this store on a stale copy that
+            // drops another writer's fenced bytes of the same line.
+            let arena = self.arena.read();
             let mut shard = self.pending_shard(line).lock();
-            let entry = shard.entry(line).or_insert(fill);
+            let entry = shard.entry(line).or_insert_with(|| {
+                let start = (line as usize) * CACHE_LINE;
+                arena[start..start + CACHE_LINE]
+                    .try_into()
+                    .expect("cache line slice")
+            });
             entry[line_off..line_off + take].copy_from_slice(&data[pos..pos + take]);
             pos += take;
         }
@@ -476,19 +476,18 @@ impl PmemDevice {
             // Apply every queued line of this media block.
             while i < lines.len() && lines[i] / lines_per_block == block {
                 let line = lines[i];
-                // Lock-order discipline: never hold the pending-shard lock
-                // while acquiring the arena lock (only readers may nest,
-                // arena -> pending). Visibility discipline: apply to the
-                // arena *before* removing from pending, so a concurrent
-                // reader always sees the data in one place or the other.
-                let data = self.pending_shard(line).lock().get(&line).copied();
-                if let Some(data) = data {
-                    {
+                // Lock order: arena before pending shard, everywhere.
+                // Retiring the line under both locks makes the apply and
+                // the removal one step, so two fences of a shared line
+                // cannot land out of order (an older copy overwriting a
+                // newer one on media), and a reader always sees the data
+                // in one place or the other.
+                {
+                    let mut arena = self.arena.write();
+                    if let Some(data) = self.pending_shard(line).lock().remove(&line) {
                         let start = (line as usize) * CACHE_LINE;
-                        let mut arena = self.arena.write();
                         arena[start..start + CACHE_LINE].copy_from_slice(&data);
                     }
-                    self.pending_shard(line).lock().remove(&line);
                 }
                 covered += 1;
                 i += 1;
@@ -1094,5 +1093,37 @@ mod tests {
         d.flush(&mut c, off, 256);
         d.fence(&mut c);
         assert_eq!(d.pending_lines(), 0);
+    }
+
+    #[test]
+    fn writers_sharing_a_line_never_lose_fenced_stores() {
+        // Four threads own a quarter each of a single cache line and
+        // persist increasing counters into it. After a crash each quarter
+        // must hold its owner's last fenced value: no fence may retire the
+        // line onto a stale copy, nor land an older copy over a newer one.
+        let d = dev();
+        let off = d.alloc(64).unwrap();
+        const ROUNDS: u64 = 50_000;
+        std::thread::scope(|s| {
+            for quarter in 0..4u64 {
+                let d = &d;
+                s.spawn(move || {
+                    let mut c = ctx();
+                    for v in 1..=ROUNDS {
+                        d.write_nt(&mut c, off + quarter * 16, &v.to_le_bytes());
+                        d.fence(&mut c);
+                    }
+                });
+            }
+        });
+        d.crash();
+        let mut c = ctx();
+        let mut buf = [0u8; 64];
+        d.read(&mut c, off, &mut buf);
+        for quarter in 0..4 {
+            let at = quarter * 16;
+            let v = u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
+            assert_eq!(v, ROUNDS, "quarter {quarter} lost fenced stores");
+        }
     }
 }
