@@ -24,7 +24,7 @@ use chameleon_obs::{ServerObs, TraceConfig};
 use chameleondb::{ChameleonConfig, ChameleonDb};
 use kvclient::openloop::{self, OpenLoopConfig, OpenLoopReport};
 use kvclient::Client;
-use kvserver::{IoModel, KvServer, ServerConfig};
+use kvserver::{KvServer, ServerConfig};
 use pmem_sim::{Histogram, PmemDevice};
 use serde::Serialize;
 
@@ -425,7 +425,6 @@ pub fn bench(opts: &Opts) {
 /// One measured configuration of the connection-scaling comparison.
 #[derive(Debug, Clone, Serialize)]
 pub struct ConnScaleRow {
-    pub model: String,
     pub conns: usize,
     /// Total service threads the server ran (acceptor + I/O + committers
     /// + sampler) — the number the reactor holds constant.
@@ -442,6 +441,25 @@ pub struct ConnScaleRow {
     pub p50_us: f64,
     pub p99_us: f64,
     pub max_us: f64,
+}
+
+impl ConnScaleRow {
+    fn new(conns: usize, server_threads: usize, rate: u64, report: &OpenLoopReport) -> Self {
+        Self {
+            conns,
+            server_threads,
+            offered_per_sec: rate,
+            offered: report.offered,
+            completed: report.completed,
+            shed: report.shed,
+            retries: report.retries,
+            errors: report.errors,
+            unanswered: report.unanswered,
+            p50_us: report.latency.median() as f64 / 1e3,
+            p99_us: report.latency.quantile(0.99) as f64 / 1e3,
+            max_us: report.latency.max() as f64 / 1e3,
+        }
+    }
 }
 
 /// Drives `conns` connections at `rate` req/s from a few generator
@@ -482,14 +500,7 @@ fn drive_open_loop(
     total
 }
 
-fn scale_row(
-    model: &str,
-    cfg: ServerConfig,
-    conns: usize,
-    rate: u64,
-    duration: Duration,
-    gen_threads: usize,
-) -> ConnScaleRow {
+fn scale_row(conns: usize, rate: u64, duration: Duration, gen_threads: usize) -> ConnScaleRow {
     let dev = PmemDevice::optane(1 << 30);
     let store = new_store(&dev);
     let obs = Arc::new(ServerObs::new());
@@ -498,51 +509,35 @@ fn scale_row(
         Arc::clone(&dev),
         Arc::clone(&store),
         Arc::clone(&obs),
-        cfg,
+        ServerConfig::default(),
     )
     .expect("serve-bench: bind failed");
     let server_threads = server.thread_count();
     let report = drive_open_loop(server.local_addr(), conns, rate, duration, gen_threads);
     server.shutdown().expect("serve-bench: dirty shutdown");
-    ConnScaleRow {
-        model: model.into(),
-        conns,
-        server_threads,
-        offered_per_sec: rate,
-        offered: report.offered,
-        completed: report.completed,
-        shed: report.shed,
-        retries: report.retries,
-        errors: report.errors,
-        unanswered: report.unanswered,
-        p50_us: report.latency.median() as f64 / 1e3,
-        p99_us: report.latency.quantile(0.99) as f64 / 1e3,
-        max_us: report.latency.max() as f64 / 1e3,
-    }
+    ConnScaleRow::new(conns, server_threads, rate, &report)
 }
 
 fn print_scale_rows(rows: &[&ConnScaleRow]) {
-    println!("  model      conns  srv-thr  offered/s  completed      shed   p50        p99");
+    println!("   conns  srv-thr  offered/s  completed      shed   p50        p99");
     for r in rows {
         println!(
-            "  {:<9} {:>6}  {:>7}  {:>9}  {:>9}  {:>8}  {:>8.1}us {:>8.1}us",
-            r.model,
-            r.conns,
-            r.server_threads,
-            r.offered_per_sec,
-            r.completed,
-            r.shed,
-            r.p50_us,
-            r.p99_us,
+            "  {:>6}  {:>7}  {:>9}  {:>9}  {:>8}  {:>8.1}us {:>8.1}us",
+            r.conns, r.server_threads, r.offered_per_sec, r.completed, r.shed, r.p50_us, r.p99_us,
         );
     }
 }
 
-/// The tentpole measurement: the reactor at `--conns` connections versus
-/// the thread-per-connection baseline at 16, same offered load, latency
-/// measured open-loop (no coordinated omission).
+/// Open-loop generator threads driving each connection-scaling row.
+/// Both rows get the same count, so the rows differ only in how many
+/// connections the server multiplexes.
+const SCALE_GEN_THREADS: usize = 2;
+
+/// The reactor at `--conns` connections versus itself at 16, same
+/// offered load and generator threads, latency measured open-loop (no
+/// coordinated omission).
 fn connection_scaling(opts: &Opts) {
-    header("serve-bench: connection scaling (reactor vs thread-per-connection)");
+    header("serve-bench: connection scaling (reactor at 16 vs --conns connections)");
     let conns = opts.conns;
     let (rate, duration) = if opts.quick {
         (2_000u64, Duration::from_secs(1))
@@ -550,70 +545,53 @@ fn connection_scaling(opts: &Opts) {
         (5_000u64, Duration::from_secs(2))
     };
     println!(
-        "  offered load {rate} req/s (50% durable put / 50% get) for {duration:?}, open-loop\n"
+        "  offered load {rate} req/s (50% durable put / 50% get) for {duration:?}, open-loop, {SCALE_GEN_THREADS} generator threads\n"
     );
 
-    let threaded = scale_row(
-        "threaded",
-        ServerConfig {
-            io: IoModel::Threaded,
-            ..ServerConfig::default()
-        },
-        16,
-        rate,
-        duration,
-        2,
-    );
-    let reactor = scale_row(
-        "reactor",
-        ServerConfig {
-            io: IoModel::Reactor { workers: 4 },
-            ..ServerConfig::default()
-        },
-        conns,
-        rate,
-        duration,
-        4,
-    );
-    print_scale_rows(&[&threaded, &reactor]);
-    println!(
-        "\n  reactor served {}x the connections with {} service threads (threaded at {} conns would need ~{})",
-        conns / 16,
-        reactor.server_threads,
-        conns,
-        conns + threaded.server_threads - 16,
-    );
+    let base = scale_row(16, rate, duration, SCALE_GEN_THREADS);
+    let scaled = scale_row(conns, rate, duration, SCALE_GEN_THREADS);
+    print_scale_rows(&[&base, &scaled]);
 
-    // Acceptance: a fixed thread pool, and a tail no worse than the
-    // 16-connection threaded baseline at the same offered load. The
-    // latency bound is deliberately loose — wall-clock on a shared
-    // machine — and exists to catch catastrophic regressions, not to
-    // benchmark noise.
+    // Acceptance: a fixed thread pool that does not grow with the
+    // connection count, every request answered, and a tail no worse
+    // than the 16-connection row at the same offered load. The latency
+    // bound is deliberately loose — wall-clock on a shared machine — and
+    // exists to catch catastrophic regressions, not to benchmark noise.
     assert!(
-        reactor.server_threads <= 16,
+        scaled.server_threads <= 16,
         "reactor at {} conns used {} service threads (want <= 16)",
         conns,
-        reactor.server_threads
+        scaled.server_threads
+    );
+    assert_eq!(
+        scaled.server_threads, base.server_threads,
+        "service thread count changed with the connection count"
     );
     assert!(
-        reactor.completed > 0,
+        scaled.completed > 0,
         "reactor completed no requests at {conns} connections"
     );
     assert!(
-        reactor.p99_us <= threaded.p99_us * 10.0 + 10_000.0,
-        "reactor p99 {}us at {} conns catastrophically worse than threaded {}us at 16",
-        reactor.p99_us,
+        scaled.errors == 0 && scaled.unanswered == 0,
+        "reactor at {conns} conns: {} errors, {} unanswered",
+        scaled.errors,
+        scaled.unanswered
+    );
+    assert!(
+        scaled.p99_us <= base.p99_us * 10.0 + 10_000.0,
+        "reactor p99 {}us at {} conns catastrophically worse than {}us at 16",
+        scaled.p99_us,
         conns,
-        threaded.p99_us
+        base.p99_us
     );
 
     if let Some(dir) = &opts.out_dir {
-        let d = dir.join("pr7_reactor");
-        std::fs::create_dir_all(&d).expect("create pr7_reactor dir");
+        let d = dir.join("reactor_scaling");
+        std::fs::create_dir_all(&d).expect("create reactor_scaling dir");
         let path = d.join("connection_scaling.json");
         std::fs::write(
             &path,
-            serde_json::to_string_pretty(&vec![&threaded, &reactor]).expect("serialize scaling"),
+            serde_json::to_string_pretty(&vec![&base, &scaled]).expect("serialize scaling"),
         )
         .expect("write scaling artifact");
         println!("  [artifact] {}", path.display());
@@ -640,10 +618,7 @@ fn open_loop_sweep(opts: &Opts) {
         Arc::clone(&dev),
         Arc::clone(&store),
         Arc::clone(&obs),
-        ServerConfig {
-            io: IoModel::Reactor { workers: 4 },
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .expect("serve-bench: bind failed");
     let server_threads = server.thread_count();
@@ -651,21 +626,7 @@ fn open_loop_sweep(opts: &Opts) {
     let mut rows = Vec::new();
     for &rate in rates {
         let report = drive_open_loop(server.local_addr(), conns, rate, duration, 4);
-        rows.push(ConnScaleRow {
-            model: "reactor".into(),
-            conns,
-            server_threads,
-            offered_per_sec: rate,
-            offered: report.offered,
-            completed: report.completed,
-            shed: report.shed,
-            retries: report.retries,
-            errors: report.errors,
-            unanswered: report.unanswered,
-            p50_us: report.latency.median() as f64 / 1e3,
-            p99_us: report.latency.quantile(0.99) as f64 / 1e3,
-            max_us: report.latency.max() as f64 / 1e3,
-        });
+        rows.push(ConnScaleRow::new(conns, server_threads, rate, &report));
     }
     server.shutdown().expect("serve-bench: dirty shutdown");
     print_scale_rows(&rows.iter().collect::<Vec<_>>());
@@ -678,8 +639,8 @@ fn open_loop_sweep(opts: &Opts) {
     }
 
     if let Some(dir) = &opts.out_dir {
-        let d = dir.join("pr7_reactor");
-        std::fs::create_dir_all(&d).expect("create pr7_reactor dir");
+        let d = dir.join("reactor_scaling");
+        std::fs::create_dir_all(&d).expect("create reactor_scaling dir");
         let path = d.join("open_loop_sweep.json");
         std::fs::write(
             &path,

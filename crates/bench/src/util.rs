@@ -33,8 +33,8 @@ pub struct Opts {
     /// is set; `repro top` polls it (default 7879 when unset).
     pub http_port: Option<u16>,
     /// Connection-scaling target for `repro serve-bench`: run the
-    /// reactor at this many concurrent connections against the threaded
-    /// baseline at 16 (0 = skip the scaling phase).
+    /// reactor at this many concurrent connections against itself at 16
+    /// (0 = skip the scaling phase).
     pub conns: usize,
     /// Add the open-loop latency-vs-offered-load sweep to
     /// `repro serve-bench` (coordinated-omission-free; see

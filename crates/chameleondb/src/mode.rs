@@ -190,7 +190,7 @@ impl ModeController {
 }
 
 /// A Get-Protect Mode transition reported by
-/// [`ModeController::record_get_latency`].
+/// `ModeController::record_get_latency`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModeChange {
     pub from: Mode,

@@ -29,7 +29,7 @@ use crate::view::{GetSource, ShardView, TableHandle};
 /// client on its device (all harnesses construct stores that way).
 pub const SUPERBLOCK_OFF: u64 = 256;
 
-/// One write in a group-commit batch (see [`ChameleonDb::apply_batch`]).
+/// One write in a group-commit batch (see `ChameleonDb::apply_batch`).
 /// Owned values, so a network front-end can carry batches from connection
 /// threads to a committer thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,7 +73,7 @@ impl MetaLog {
 /// ChameleonDB (see the crate-level docs for the design overview).
 ///
 /// The handle owns the background-maintenance worker pool; every other
-/// piece of store state lives in the shared [`StoreInner`] (reached
+/// piece of store state lives in the shared `StoreInner` (reached
 /// transparently through `Deref`, so `db.get(..)`, `db.metrics()` etc.
 /// read as before). Dropping the handle shuts the pipeline down
 /// gracefully: queued maintenance is processed, then the workers join.

@@ -9,7 +9,7 @@
 //! 1. runs a deterministic mixed workload (puts, overwrites, deletes,
 //!    syncs, a checkpoint, a Write-Intensive phase, a Get-Protect
 //!    phase that forces ABI dumps, and group-commit batches through
-//!    [`ChameleonDb::apply_batch`] — the service layer's write path)
+//!    `ChameleonDb::apply_batch` — the service layer's write path)
 //!    against a fresh simulated device, armed to panic-unwind out of
 //!    fence `k`;
 //! 2. simulates the power cut ([`pmem_sim::PmemDevice::crash`] drops all
@@ -87,7 +87,7 @@ pub enum WlOp {
     BatchPut(u64),
     /// Stage a delete into the open group-commit batch.
     BatchDel(u64),
-    /// Commit the staged batch through [`ChameleonDb::apply_batch`]: one
+    /// Commit the staged batch through `ChameleonDb::apply_batch`: one
     /// tail fence acknowledges the whole batch (plus any mid-batch
     /// auto-fences once the log's `batch_bytes` overflows — crashing at
     /// those leaves a partially persisted batch, which the prefix-cut

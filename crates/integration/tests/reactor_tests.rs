@@ -18,7 +18,7 @@ use chameleondb::{ChameleonConfig, ChameleonDb};
 use kvapi::KvStore;
 use kvclient::{Client, RetryPolicy, StatsFormat, WriteOutcome};
 use kvserver::proto::{decode_response, encode_request, Request, Response};
-use kvserver::{IoModel, KvServer, ServerConfig};
+use kvserver::{KvServer, ServerConfig};
 use pmem_sim::{PmemDevice, ThreadCtx};
 
 fn test_store_config() -> ChameleonConfig {
@@ -171,7 +171,6 @@ fn thousand_connections_acked_writes_survive_crash() {
         &store,
         ServerConfig {
             lanes: 4,
-            io: IoModel::Reactor { workers: 4 },
             max_batch: 64,
             ..ServerConfig::default()
         },
@@ -399,7 +398,6 @@ fn idle_reactor_polls_near_zero() {
         &dev,
         &store,
         ServerConfig {
-            io: IoModel::Reactor { workers: 4 },
             // Sampler off so only I/O activity moves the counters.
             window_cap: 0,
             ..ServerConfig::default()

@@ -355,7 +355,7 @@ impl Client {
 
     /// Blocking range scan: up to `limit` live keys `>= start_key`,
     /// ascending (`limit` is capped server-side at
-    /// [`MAX_SCAN_KEYS`](kvserver::proto::MAX_SCAN_KEYS); page longer
+    /// [`MAX_SCAN_KEYS`]; page longer
     /// ranges by re-issuing from `last_key + 1`).
     pub fn scan(&mut self, start_key: u64, limit: u32) -> io::Result<Vec<u64>> {
         let t0 = Instant::now();

@@ -4,7 +4,7 @@
 //! with a primary `kvserver` by subscribing to the primary's replication
 //! stream: it sends `REPL_SUBSCRIBE` over the ordinary length-prefixed
 //! wire protocol, then applies every `REPL_BATCH` frame in ship-index
-//! order through [`ChameleonDb::apply_batch`] and confirms it with
+//! order through `ChameleonDb::apply_batch` and confirms it with
 //! `REPL_ACK`. Alongside the apply loop the replica runs its own
 //! read-only [`KvServer`] (`read_only: true`), so clients can point GET /
 //! SCAN / STATS at the replica while PUT / DELETE / SYNC are refused.

@@ -5,7 +5,7 @@
 //! arbitrary fragments — a single `read(2)` may return half a length
 //! prefix, three complete frames plus a tail, or one byte. [`FrameBuf`]
 //! turns that byte stream back into whole frame payloads without ever
-//! blocking or copying more than once. [`Conn`] pairs a `FrameBuf` with
+//! blocking or copying more than once. `Conn` pairs a `FrameBuf` with
 //! the write side: a queue of encoded response frames drained on
 //! `POLLOUT`, bounded in bytes so a slow or wedged reader sheds the
 //! connection instead of growing server memory (ISSUE 7 satellite 1).

@@ -39,11 +39,8 @@
 //! the same stall a real synchronous-replication pair exhibits. Size the
 //! quorum below the replica count to tolerate replica loss.
 //!
-//! Under the reactor I/O model a subscription pins its connection
-//! against the idle sweep (the stream is push-based; read-silence is
-//! normal). The threaded model's per-connection read timeout has no
-//! such exemption — pair threaded-model replication with
-//! `idle_timeout: None`.
+//! A subscription pins its connection against the reactor's idle sweep
+//! (the stream is push-based; read-silence is normal).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -244,8 +241,8 @@ impl ReplHub {
     /// Publishes one committed, fenced batch: assigns ship indices, fans
     /// the chunks out to every subscriber, retains them for late
     /// subscribers, and (quorum policy) parks `withheld` durable acks on
-    /// the batch's last ship index. Under local-fence the caller has
-    /// already sent its acks and passes an empty vec.
+    /// the batch's last ship index. Under local-fence the caller passes
+    /// an empty vec and sends its acks after this returns.
     pub(crate) fn publish(
         &self,
         ops: &[BatchOp],
